@@ -169,11 +169,8 @@ pub fn oracle_delivered(
             .iter()
             .filter(|r| rule_matches(r, spec, src, dst, ingress, proto, sp, dp))
             .min_by_key(|r| (Reverse(r.priority), u8::from(r.allow), r.cookie));
-        match best {
-            Some(r) if r.allow => {}
-            Some(_) => return false,
-            None if policy_allows => {}
-            None => return false,
+        if !best.map_or(policy_allows, |r| r.allow) {
+            return false;
         }
     }
     true

@@ -235,7 +235,6 @@ impl Controller {
             .seen_messages
             .push((conn, body.clone()));
         match body {
-            Message::Hello => {}
             Message::FeaturesReply(fr) => {
                 self.inner.borrow_mut().conns[conn].dpid = Some(fr.datapath_id);
                 self.run_misbehaviors(sim, conn);

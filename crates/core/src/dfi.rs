@@ -1891,7 +1891,7 @@ impl Dfi {
     }
 
     // ------------------------------------------------------------------
-    // Sharding hooks (the `shard::ShardedDfi` front-end drives these)
+    // Sharding hooks (the `par::ParallelShardedDfi` workers drive these)
     // ------------------------------------------------------------------
 
     /// Publishes an already-compiled shared snapshot into this DFI's

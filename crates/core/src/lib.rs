@@ -20,9 +20,10 @@
 //!   between switches and the controller, and the Policy Compilation Point
 //!   that turns packet-ins into exact-match, cookie-tagged Table-0 rules.
 //! * [`events`] — sensor events and message-bus wiring.
-//! * [`shard`] — the per-dpid sharded front-end ([`ShardedDfi`]) scaling
-//!   the proxy to fleet-sized fabrics with atomic snapshot fanout and
-//!   epoch-stamped cross-shard binding batches.
+//! * [`par`] — the per-dpid sharded front-end ([`ParallelShardedDfi`])
+//!   scaling the proxy to fleet-sized fabrics over one worker thread per
+//!   shard, with epoch-barrier snapshot fanout and epoch-stamped
+//!   cross-shard binding batches.
 //!
 //! # Quick start
 //!
@@ -53,16 +54,15 @@ pub mod par;
 pub mod pdp;
 pub mod policy;
 pub mod rewrite;
-pub mod shard;
 
 pub use dfi::{
     binding_op_of_event, BindingBatch, BindingOp, BufPool, Dfi, DfiConfig, DfiMetrics, SnapshotGate,
 };
 pub use par::{
     CookieSets, DrainReport, FleetReport, HostDeliveries, ObserveFn, Outbox, ParSnapshotGate,
-    ParallelShardedDfi, RelayFrame, WorkerWorld, WorldBuilder,
+    ParallelShardedDfi, RelayFrame, ShardFanoutMetrics, WorkerWorld, WorldBuilder,
+    SNAPSHOT_RETENTION,
 };
-pub use shard::{ShardFanoutMetrics, ShardSnapshotGate, ShardedDfi};
 // Exported for the criterion bench harness; not part of the stable API.
 #[doc(hidden)]
 pub use dfi::{CachedDecision, DecisionCache, FlowKey};

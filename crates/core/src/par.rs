@@ -1,13 +1,36 @@
-//! The thread-parallel sharded DFI proxy: real OS-thread scale-out.
+//! The sharded DFI proxy: per-dpid scale-out over one OS thread per shard.
 //!
-//! [`ShardedDfi`](crate::ShardedDfi) proved the *semantics* of per-dpid
-//! sharding — one policy truth, epoch-stamped binding fanout, atomic
-//! snapshot publication — but ran every shard cooperatively on one thread
-//! over `Rc`/`RefCell`, so its wall-clock throughput *regressed* with
-//! shard count (the fanout bookkeeping is pure overhead). This module
-//! keeps those semantics bit-for-bit (proved by
-//! `crates/core/tests/threaded_oracle.rs` against the same 360-step
-//! differential trace) and moves each shard onto its own OS thread.
+//! The paper's DFI is one proxy process in front of one controller; its
+//! measured ceiling is ~1350 flows/sec (Table I). A fleet of a thousand
+//! switches needs more, and because the hot path reads an immutable
+//! [`PolicySnapshot`], scaling out is not a locking problem — it is a
+//! *publication-fanout and binding-ownership* problem:
+//!
+//! * **Ownership.** [`ParallelShardedDfi`] partitions switches over N
+//!   worker shards by dpid ([`dfi_simnet::topo::shard_of`]). Each worker
+//!   owns a complete [`Dfi`] — its own PCP/binding/policy queueing
+//!   stations, decision cache, snapshot store and ERM replica — and a
+//!   switch's whole packet-in/install/flush lifecycle runs on its owner.
+//! * **Policy truth.** The front-end owns the one [`PolicyManager`].
+//!   Mutations fan cookie flushes to every worker, then compile **once**
+//!   and publish the same `Arc<PolicySnapshot>` to every worker. A worker
+//!   `Dfi`'s own Policy Manager stays empty forever.
+//! * **Certification.** A [`ParSnapshotGate`] is consulted before every
+//!   publication: a refusal defers — no worker receives the candidate, all
+//!   keep serving the prior epoch — and the next clean publication is a
+//!   recovery that re-issues the deferred flushes and bulk-expires stale
+//!   cache entries on every worker. The front-end keeps the last
+//!   [`SNAPSHOT_RETENTION`] retired certified snapshots for rollback.
+//! * **Binding fanout.** Sensor-derived [`BindingOp`]s are fanned out as
+//!   epoch-stamped [`BindingBatch`]es: strictly increasing stamps, applied
+//!   at most once per worker, stale deliveries ignored. IP-, name- and
+//!   session-keyed ops broadcast (any worker may resolve flows through
+//!   them); MAC-location ops go only to the owning worker (locations are
+//!   learned from packet-ins, which only the owner sees).
+//!
+//! The unsharded [`Dfi`] is the differential oracle: the same 360-step
+//! trace replays byte-identically through it and through 1, 2, 4 and 8
+//! workers (`crates/core/tests/threaded_oracle.rs`).
 //!
 //! # Ownership map
 //!
@@ -29,16 +52,15 @@
 //!
 //! # The epoch barrier (no two epochs at once)
 //!
-//! The cooperative front-end's fanout was atomic by construction (it
-//! completed within one simulation event). Across threads the same
-//! guarantee is an explicit barrier: [`ParallelShardedDfi::insert_policy`]
-//! / `revoke_policy` publish to the shared store, send `Cmd::Epoch` down
-//! every channel, and **block until every worker acks** before admitting
-//! the next command of any kind. Because channels are FIFO, every command
-//! sent before the epoch is processed under the old snapshot on every
-//! shard, and everything after under the new one — channel nondeterminism
-//! is confined to *intra*-epoch ordering, which the differential oracle
-//! proves decision-irrelevant.
+//! No two workers ever serve different certified epochs to the same
+//! flow's path. Across threads that guarantee is an explicit barrier:
+//! [`ParallelShardedDfi::insert_policy`] / `revoke_policy` publish to the
+//! shared store, send `Cmd::Epoch` down every channel, and **block until
+//! every worker acks** before admitting the next command of any kind.
+//! Because channels are FIFO, every command sent before the epoch is
+//! processed under the old snapshot on every shard, and everything after
+//! under the new one — channel nondeterminism is confined to *intra*-epoch
+//! ordering, which the differential oracle proves decision-irrelevant.
 //!
 //! # Why there are no locks on the decide path
 //!
@@ -70,7 +92,6 @@ use crate::dfi::{BindingBatch, BindingOp, Dfi, DfiConfig, DfiMetrics};
 use crate::erm::Binding;
 use crate::events::SnapshotWitness;
 use crate::policy::{PolicyId, PolicyManager, PolicySnapshot, SharedSnapshotStore};
-use crate::shard::{ShardFanoutMetrics, SNAPSHOT_RETENTION};
 use dfi_dataplane::Tx;
 use dfi_simnet::topo::shard_of;
 use dfi_simnet::{shard_seed, Sim, SimTime};
@@ -81,6 +102,27 @@ use std::sync::atomic::{AtomicBool, Ordering as MemOrder};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+
+/// Retired certified snapshots the front-end keeps (the versioned
+/// rollback window).
+pub const SNAPSHOT_RETENTION: usize = 4;
+
+/// Fanout-plane counters (the front-end's own work, distinct from the
+/// per-shard [`DfiMetrics`]).
+#[derive(Clone, Debug, Default)]
+pub struct ShardFanoutMetrics {
+    /// Certified snapshots compiled once and fanned to every worker.
+    pub snapshot_fanouts: u64,
+    /// Publications refused by the gate (no worker touched).
+    pub snapshot_refusals: u64,
+    /// Epoch-stamped binding batches fanned out.
+    pub binding_batches: u64,
+    /// Individual binding ops carried by those batches, summed over the
+    /// workers each op was delivered to.
+    pub binding_ops_delivered: u64,
+    /// Cookie-flush fanouts (each touches every worker).
+    pub flush_fanouts: u64,
+}
 
 /// Commands queued ahead of a worker (bounded to this depth; senders
 /// back-pressure rather than grow without bound).
@@ -248,11 +290,10 @@ struct Worker {
     join: Option<JoinHandle<()>>,
 }
 
-/// The thread-parallel sharded DFI front-end. Unlike the cooperative
-/// [`ShardedDfi`](crate::ShardedDfi) handle this is `&mut self`-driven:
-/// the front-end lives on the caller's thread and is the single admission
-/// point for punts, bindings, and policy mutations (which is what makes
-/// the epoch barrier a barrier).
+/// The sharded DFI front-end. It is `&mut self`-driven: the front-end
+/// lives on the caller's thread and is the single admission point for
+/// punts, bindings, and policy mutations (which is what makes the epoch
+/// barrier a barrier).
 pub struct ParallelShardedDfi {
     workers: Vec<Worker>,
     /// Global boundary id → worker owning the ingress.
@@ -345,8 +386,8 @@ impl ParallelShardedDfi {
         self.workers.len()
     }
 
-    /// The shard owning `dpid` — the same pure partition the cooperative
-    /// front-end and the topology tests use.
+    /// The shard owning `dpid` — the same pure partition the topology
+    /// tests check.
     #[must_use]
     pub fn shard_of(&self, dpid: u64) -> usize {
         shard_of(dpid, self.workers.len())
@@ -389,8 +430,7 @@ impl ParallelShardedDfi {
 
     /// Stamps `ops` as one batch and fans it to the shards that need it:
     /// MAC-location ops go only to the shard owning their dpid, everything
-    /// else broadcasts — identical routing to the cooperative front-end.
-    /// Returns the batch's epoch stamp.
+    /// else broadcasts. Returns the batch's epoch stamp.
     pub fn apply_binding_ops(&mut self, ops: Vec<BindingOp>) -> u64 {
         let epoch = self.next_binding_epoch;
         self.next_binding_epoch += 1;
@@ -444,7 +484,8 @@ impl ParallelShardedDfi {
     /// Inserts a policy rule: gathers default-deny notes from every
     /// worker, updates the fleet's one Policy Manager, fans cookie flushes
     /// to every shard, then publishes through the epoch barrier. Mirrors
-    /// the cooperative front-end step for step.
+    /// [`Dfi::insert_policy`] step for step, which keeps the fleet
+    /// decision-equivalent to the unsharded oracle.
     pub fn insert_policy(
         &mut self,
         rule: crate::policy::PolicyRule,
@@ -483,6 +524,13 @@ impl ParallelShardedDfi {
     /// Installs the certification hook consulted before every publication.
     pub fn set_snapshot_gate(&mut self, gate: ParSnapshotGate) {
         self.gate = Some(gate);
+    }
+
+    /// The certified snapshot the fleet currently serves (epoch 0, empty,
+    /// before the first publication).
+    #[must_use]
+    pub fn snapshot(&self) -> Arc<PolicySnapshot> {
+        self.store.load()
     }
 
     /// The front-end's retained retired snapshots, oldest first (at most
@@ -625,8 +673,9 @@ impl ParallelShardedDfi {
             }
             let mut fleet = FleetReport::default();
             for (w, report) in reports.into_iter().enumerate() {
+                let report = *report;
                 fleet.metrics.merge(&report.metrics);
-                fleet.per_shard.push(report.metrics.clone());
+                fleet.per_shard.push(report.metrics);
                 for (host, count) in report.deliveries {
                     *fleet.deliveries.entry(host).or_insert(0) += count;
                 }
@@ -653,9 +702,7 @@ impl ParallelShardedDfi {
         self.served.windows(2).all(|w| w[0] == w[1])
     }
 
-    /// The front-end's own fanout-plane counters — field-compatible with
-    /// the cooperative front-end's, so the differential oracle compares
-    /// them directly.
+    /// The front-end's own fanout-plane counters.
     #[must_use]
     pub fn fanout_metrics(&self) -> ShardFanoutMetrics {
         self.metrics.clone()
@@ -721,7 +768,6 @@ fn worker_main(
 ) {
     let mut sim = Sim::new(seed);
     let dfi = Dfi::new(config.clone());
-    dfi.set_snapshot_retention(SNAPSHOT_RETENTION);
     let outbox = Outbox::default();
     let mut world = builder(&mut sim, &dfi, &outbox);
     let boundaries: HashMap<u64, dfi_dataplane::ByteSink> = world.boundaries.drain(..).collect();
@@ -804,5 +850,122 @@ fn worker_main(
             }
             Cmd::Stop => break,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::policy::{EndpointPattern, PolicyRule};
+    use std::sync::Mutex;
+
+    /// What each worker saw at its last drain: its binding-batch stamp, its
+    /// ERM binding count, and the snapshot it serves.
+    type Seen = Arc<Mutex<Vec<Option<(u64, usize, Arc<PolicySnapshot>)>>>>;
+
+    /// `n` switchless workers whose observe hooks record what they serve.
+    fn observed_fleet(n: usize) -> (ParallelShardedDfi, Seen) {
+        let seen: Seen = Arc::new(Mutex::new(vec![None; n]));
+        let builders = (0..n)
+            .map(|w| {
+                let seen = Arc::clone(&seen);
+                Box::new(move |_: &mut Sim, dfi: &Dfi, _: &Outbox| {
+                    let dfi = dfi.clone();
+                    let observe: ObserveFn = Box::new(move |_| {
+                        let count = dfi.with_erm(|erm| erm.binding_count());
+                        seen.lock().unwrap()[w] =
+                            Some((dfi.binding_epoch(), count, dfi.snapshot()));
+                        (Vec::new(), Vec::new())
+                    });
+                    WorkerWorld {
+                        taps: Vec::new(),
+                        boundaries: Vec::new(),
+                        observe,
+                    }
+                }) as WorldBuilder
+            })
+            .collect();
+        let fleet = ParallelShardedDfi::new(&DfiConfig::default(), 7, builders, HashMap::new());
+        (fleet, seen)
+    }
+
+    fn user_on(user: &str) -> BindingOp {
+        BindingOp::Bind(Binding::UserHost {
+            user: user.into(),
+            host: "lee-pc".into(),
+        })
+    }
+
+    #[test]
+    fn binding_batches_are_stamped_and_idempotent() {
+        let (mut fleet, seen) = observed_fleet(4);
+        let e1 = fleet.apply_binding_ops(vec![user_on("lee")]);
+        let e2 = fleet.apply_binding_ops(vec![user_on("lee")]);
+        assert!(e2 > e1, "stamps strictly increase");
+        // Re-delivering a stale stamp is ignored: its op never lands.
+        for w in 0..fleet.shard_count() {
+            fleet.send(
+                w,
+                Cmd::Bindings(BindingBatch {
+                    epoch: e1,
+                    ops: vec![user_on("kim")],
+                }),
+            );
+        }
+        fleet.drain();
+        for (w, s) in seen.lock().unwrap().iter().enumerate() {
+            let (epoch, count, _) = s.as_ref().expect("every worker drained");
+            assert_eq!(*epoch, e2, "worker {w}");
+            assert_eq!(
+                *count, 1,
+                "worker {w}: broadcast binding once, stale op dropped"
+            );
+        }
+        let m = fleet.fanout_metrics();
+        assert_eq!(m.binding_batches, 2);
+        assert_eq!(m.binding_ops_delivered, 8);
+        fleet.shutdown();
+    }
+
+    #[test]
+    fn mac_location_ops_route_to_the_owning_worker_only() {
+        let (mut fleet, seen) = observed_fleet(4);
+        let dpid = 17;
+        let owner = fleet.shard_of(dpid);
+        fleet.apply_binding_ops(vec![BindingOp::Bind(Binding::MacLocation {
+            mac: dfi_packet::MacAddr::from_index(1),
+            dpid,
+            port: 3,
+        })]);
+        fleet.drain();
+        for (w, s) in seen.lock().unwrap().iter().enumerate() {
+            let (_, count, _) = s.as_ref().expect("every worker drained");
+            assert_eq!(*count, usize::from(w == owner), "worker {w}");
+        }
+        assert_eq!(fleet.fanout_metrics().binding_ops_delivered, 1);
+        fleet.shutdown();
+    }
+
+    #[test]
+    fn each_policy_mutation_compiles_once() {
+        let (mut fleet, seen) = observed_fleet(3);
+        let id = fleet.insert_policy(
+            PolicyRule::allow(EndpointPattern::any(), EndpointPattern::host("srv")),
+            50,
+            "t",
+        );
+        assert_eq!(fleet.fanout_metrics().snapshot_fanouts, 1);
+        fleet.drain();
+        let published = fleet.snapshot();
+        for (w, s) in seen.lock().unwrap().iter().enumerate() {
+            let (_, _, snap) = s.as_ref().expect("every worker drained");
+            assert!(Arc::ptr_eq(snap, &published), "worker {w}: one compilation");
+        }
+        assert!(fleet.revoke_policy(id));
+        assert!(!fleet.revoke_policy(id), "unknown ids publish nothing");
+        assert_eq!(fleet.fanout_metrics().snapshot_fanouts, 2);
+        assert_eq!(fleet.snapshot().epoch(), 2);
+        assert_eq!(fleet.served_epochs(), vec![2; 3], "one epoch fleet-wide");
+        fleet.shutdown();
     }
 }

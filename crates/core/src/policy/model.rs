@@ -65,9 +65,8 @@ impl<T: PartialOrd + Copy> Wild<T> {
     /// *and* intervals — index layers treat an interval like a wildcard).
     pub fn value(&self) -> Option<T> {
         match self {
-            Wild::Any => None,
+            Wild::Any | Wild::In(..) => None,
             Wild::Is(v) => Some(*v),
-            Wild::In(..) => None,
         }
     }
 

@@ -854,11 +854,8 @@ impl PolicySnapshot {
 /// compilation can sit in many workers' stores at once.
 ///
 /// A store may additionally **retain** the last N certified snapshots it
-/// retired ([`SnapshotStore::set_retention`]). Retention serves two
-/// purposes in the sharded proxy: it gives operators a rollback window of
-/// known-certified versions, and — because every shard's store retires the
-/// *same* `Arc` the front-end fanned out — it lets the fanout tests prove
-/// with pointer identity that all shards served one compilation per epoch.
+/// retired ([`SnapshotStore::set_retention`]), giving operators a rollback
+/// window of known-certified versions.
 #[derive(Debug)]
 pub struct SnapshotStore {
     current: RefCell<Arc<PolicySnapshot>>,

@@ -1,18 +1,12 @@
-//! The shared differential-trace harness: one seeded script of flows,
-//! policy mutations (each a live snapshot swap), DHCP moves, and session
-//! toggles, plus the per-step decision delta both `sharded_oracle.rs`
-//! (cooperative shards) and `threaded_oracle.rs` (worker threads) compare
-//! against the unsharded oracle. Keeping the generator here guarantees the
-//! two suites replay the *identical* byte-for-byte trace.
-
-// Each test binary compiles its own copy of this module and uses a
-// (large, overlapping) subset of it.
-#![allow(dead_code)]
+//! The differential-trace harness: one seeded script of flows, policy
+//! mutations (each a live snapshot swap), DHCP moves, and session toggles,
+//! the per-step decision delta, and the unsharded oracle world that
+//! `threaded_oracle.rs` replays the script through.
 
 use dfi_controller::Controller;
 use dfi_core::events::{topic, DfiEvent};
 use dfi_core::policy::{EndpointPattern, PolicyId, PolicyRule, Wild};
-use dfi_core::{Dfi, DfiConfig, ShardedDfi};
+use dfi_core::{Dfi, DfiConfig};
 use dfi_dataplane::{Network, Switch, Tx};
 use dfi_packet::headers::build;
 use dfi_packet::MacAddr;
@@ -244,54 +238,10 @@ impl StepDelta {
     }
 }
 
-/// Either cooperative system under test, behind one replay interface.
-pub enum System {
-    Oracle(Dfi),
-    Sharded(ShardedDfi),
-}
-
-impl System {
-    pub fn publish(&self, sim: &mut Sim, topic: &str, ev: DfiEvent) {
-        match self {
-            System::Oracle(d) => d.bus().publish(sim, topic, ev),
-            System::Sharded(s) => s.bus().publish(sim, topic, ev),
-        }
-    }
-
-    pub fn insert(&self, sim: &mut Sim, rule: PolicyRule, priority: u32) -> PolicyId {
-        match self {
-            System::Oracle(d) => d.insert_policy(sim, rule, priority, "oracle-trace"),
-            System::Sharded(s) => s.insert_policy(sim, rule, priority, "oracle-trace"),
-        }
-    }
-
-    pub fn revoke(&self, sim: &mut Sim, id: PolicyId) -> bool {
-        match self {
-            System::Oracle(d) => d.revoke_policy(sim, id),
-            System::Sharded(s) => s.revoke_policy(sim, id),
-        }
-    }
-
-    pub fn metrics(&self) -> dfi_core::DfiMetrics {
-        match self {
-            System::Oracle(d) => d.metrics(),
-            System::Sharded(s) => s.metrics(),
-        }
-    }
-
-    pub fn snapshot_swaps(&self) -> u64 {
-        match self {
-            System::Oracle(d) => d.metrics().snapshots_published,
-            System::Sharded(s) => s.fanout_metrics().snapshot_fanouts,
-        }
-    }
-}
-
-/// The cooperative single-thread replay world (the oracle, or the
-/// cooperative `ShardedDfi` at a given shard count).
+/// The unsharded oracle's replay world, on one thread and one clock.
 pub struct World {
     pub sim: Sim,
-    pub system: System,
+    pub dfi: Dfi,
     pub switches: Vec<Switch>,
     pub tx: Vec<Tx>,
     pub rx: Vec<Rc<RefCell<u64>>>,
@@ -397,7 +347,7 @@ pub fn fresh_ip(next_fresh: u32) -> Ipv4Addr {
     )
 }
 
-pub fn build_world(seed: u64, shards: Option<usize>) -> World {
+pub fn build_world(seed: u64) -> World {
     let topo = fabric(seed);
     let mut sim = Sim::new(seed);
     let mut net = Network::new();
@@ -417,29 +367,16 @@ pub fn build_world(seed: u64, shards: Option<usize>) -> World {
         rx.push(count);
     }
     let ctrl = Controller::reactive();
-    let system = match shards {
-        None => {
-            let dfi = Dfi::new(test_config());
-            for sw in &switches {
-                let c = ctrl.clone();
-                dfi.interpose(&mut sim, sw, move |sim, sink| c.connect(sim, sink));
-            }
-            System::Oracle(dfi)
-        }
-        Some(n) => {
-            let sharded = ShardedDfi::new(n, &test_config());
-            for sw in &switches {
-                let c = ctrl.clone();
-                sharded.interpose(&mut sim, sw, move |sim, sink| c.connect(sim, sink));
-            }
-            System::Sharded(sharded)
-        }
-    };
+    let dfi = Dfi::new(test_config());
+    for sw in &switches {
+        let c = ctrl.clone();
+        dfi.interpose(&mut sim, sw, move |sim, sink| c.connect(sim, sink));
+    }
     // Boot: lease + name + session for every host, through the bus like
     // the real sensors.
     for h in &topo.hosts {
         for (t, ev) in boot_events(h) {
-            system.publish(&mut sim, t, ev);
+            dfi.bus().publish(&mut sim, t, ev);
         }
     }
     sim.run();
@@ -447,7 +384,7 @@ pub fn build_world(seed: u64, shards: Option<usize>) -> World {
     let logged_on = vec![true; topo.hosts.len()];
     World {
         sim,
-        system,
+        dfi,
         switches,
         tx,
         rx,
@@ -474,13 +411,15 @@ impl World {
                 priority,
             } => {
                 let rule = insert_rule(topo, &self.host_ip, *allow, src_pat, dst_pat);
-                let id = self.system.insert(&mut self.sim, rule, *priority);
+                let id = self
+                    .dfi
+                    .insert_policy(&mut self.sim, rule, *priority, "oracle-trace");
                 self.inserted.push(id);
             }
             Step::Revoke { k } => {
                 if !self.inserted.is_empty() {
                     let id = self.inserted.remove(k % self.inserted.len());
-                    self.system.revoke(&mut self.sim, id);
+                    self.dfi.revoke_policy(&mut self.sim, id);
                 }
             }
             Step::Move { host } => {
@@ -490,14 +429,14 @@ impl World {
                 self.next_fresh += 1;
                 self.host_ip[*host] = new;
                 for (t, ev) in move_events(h, old, new) {
-                    self.system.publish(&mut self.sim, t, ev);
+                    self.dfi.bus().publish(&mut self.sim, t, ev);
                 }
             }
             Step::Toggle { host } => {
                 let h = &topo.hosts[*host];
                 let on = !self.logged_on[*host];
                 self.logged_on[*host] = on;
-                self.system.publish(
+                self.dfi.bus().publish(
                     &mut self.sim,
                     topic::SESSIONS,
                     DfiEvent::Session {
@@ -510,7 +449,7 @@ impl World {
         }
         self.sim.run();
         let deliveries: Vec<u64> = self.rx.iter().map(|c| *c.borrow()).collect();
-        let now = StepDelta::cumulative(&self.system.metrics(), deliveries);
+        let now = StepDelta::cumulative(&self.dfi.metrics(), deliveries);
         let delta = StepDelta::since(&now, &self.last);
         self.last = now;
         delta

@@ -1,5 +1,5 @@
-//! One-command snapshot rollback on the retention ring, in all three
-//! execution modes (unsharded, cooperative shards, worker threads).
+//! One-command snapshot rollback on the retention ring, in both execution
+//! modes (unsharded, worker threads).
 //!
 //! The regression under test: after the certification gate refuses a
 //! mutation, the Policy Manager holds uncertified state while the fleet
@@ -12,9 +12,8 @@
 
 use dfi_core::events::SnapshotWitness;
 use dfi_core::policy::{EndpointPattern, PolicyId, PolicyRule};
-use dfi_core::shard::SNAPSHOT_RETENTION;
 use dfi_core::{
-    CookieSets, Dfi, DfiConfig, HostDeliveries, ParallelShardedDfi, ShardedDfi, WorkerWorld,
+    CookieSets, Dfi, DfiConfig, HostDeliveries, ParallelShardedDfi, WorkerWorld, SNAPSHOT_RETENTION,
 };
 use dfi_simnet::Sim;
 use std::cell::Cell;
@@ -105,60 +104,6 @@ fn unsharded_rollback_after_refusal_restores_last_good_epoch() {
     assert_eq!(dfi.snapshot().epoch(), before);
 }
 
-#[test]
-fn sharded_rollback_restores_the_whole_fleet_at_once() {
-    let mut sim = Sim::new(SEED ^ 1);
-    let sharded = ShardedDfi::new(4, &DfiConfig::default());
-
-    let refusing = Rc::new(Cell::new(false));
-    {
-        let refusing = refusing.clone();
-        sharded.set_snapshot_gate(Box::new(move |_, _| {
-            if refusing.get() {
-                vec![SnapshotWitness {
-                    kind: "test-refusal".into(),
-                    rules: vec![],
-                    message: "refused by test certifier".into(),
-                }]
-            } else {
-                Vec::new()
-            }
-        }));
-    }
-
-    let keep = sharded.insert_policy(&mut sim, rule(1), 10, "rollback-test");
-    sim.run();
-    let good_epoch = sharded.served_epochs()[0];
-    sharded.insert_policy(&mut sim, rule(2), 10, "rollback-test");
-    sim.run();
-
-    refusing.set(true);
-    let bad = sharded.insert_policy(&mut sim, rule(3), 10, "rollback-test");
-    sim.run();
-    assert!(sharded.epochs_agree(), "a refusal strands no shard");
-    let served_during_refusal = sharded.served_epochs()[0];
-    assert!(sharded.with_pm(|pm| pm.get(bad).is_some()));
-
-    refusing.set(false);
-    assert!(sharded.rollback_snapshot(&mut sim, good_epoch));
-    sim.run();
-    assert!(
-        sharded.epochs_agree(),
-        "rollback moves every shard together"
-    );
-    assert!(sharded.served_epochs()[0] > served_during_refusal);
-    let mut ids = Vec::new();
-    sharded.with_pm(|pm| pm_ids(&mut ids, pm));
-    assert_eq!(ids, vec![keep.0]);
-    // Every shard's current snapshot compiles exactly the restored set.
-    for shard in sharded.shards() {
-        let snap_ids: Vec<u64> = shard.snapshot().rules().map(|(id, _)| id.0).collect();
-        assert_eq!(snap_ids, vec![keep.0], "restored rule set on every shard");
-    }
-
-    assert!(!sharded.rollback_snapshot(&mut sim, 10_000));
-}
-
 /// A do-nothing worker world: no switches, no taps — policy plumbing only.
 fn empty_builders(n: usize) -> Vec<dfi_core::WorldBuilder> {
     (0..n)
@@ -223,14 +168,10 @@ fn threaded_rollback_crosses_the_epoch_barrier() {
     );
     assert!(par.served_epochs()[0] > served_during_refusal);
 
-    // One more clean publish retires the rollback's snapshot onto the
-    // ring, where we can see its compiled rule set: the good epoch's
-    // exact rules (the refused rule(3) is gone, rule(2) rolled back).
-    par.insert_policy(rule(4), 10, "rollback-test");
-    par.drain();
-    let history = par.snapshot_history();
-    let rolled_back = history.last().expect("rollback snapshot retained");
-    let ids: Vec<u64> = rolled_back.rules().map(|(id, _)| id.0).collect();
+    // The fleet now serves the good epoch's exact rule set: the refused
+    // rule(3) is gone and rule(2) is rolled back.
+    assert_eq!(par.served_epochs()[0], par.snapshot().epoch());
+    let ids: Vec<u64> = par.snapshot().rules().map(|(id, _)| id.0).collect();
     assert_eq!(
         ids,
         vec![keep.0],

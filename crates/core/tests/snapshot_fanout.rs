@@ -1,28 +1,32 @@
 //! Snapshot publication fanout under certification refusal, plus the
 //! versioned retention window.
 //!
-//! The invariant under test is the tentpole's atomicity guarantee: no two
-//! shards ever serve different certified epochs. A refused publication
-//! must leave *all* shards on the same prior epoch (not some on old, some
+//! The invariant under test is the epoch barrier's guarantee: no two
+//! workers ever serve different certified epochs. A refused publication
+//! must leave *all* workers on the same prior epoch (not some on old, some
 //! on new), and the first clean publication afterwards must recover the
 //! whole fleet at once, re-issuing the flushes deferred at refusal time.
-//! Retention must keep the same last-N certified snapshots on every shard
-//! — provably the same compilations (pointer identity), not re-compiled
-//! per shard.
+//! The front-end's retention ring must hold the last-N certified
+//! snapshots, and every worker must serve the very compilation the
+//! front-end published (pointer identity, captured inside each worker
+//! thread), not a per-worker recompilation.
 
-use dfi_core::events::{topic, DfiEvent, SnapshotWitness};
-use dfi_core::policy::{EndpointPattern, PolicyRule};
-use dfi_core::shard::SNAPSHOT_RETENTION;
-use dfi_core::{DfiConfig, ShardedDfi};
+use dfi_core::events::SnapshotWitness;
+use dfi_core::policy::{EndpointPattern, PolicyRule, PolicySnapshot};
+use dfi_core::{
+    Dfi, DfiConfig, ObserveFn, Outbox, ParallelShardedDfi, WorkerWorld, WorldBuilder,
+    SNAPSHOT_RETENTION,
+};
 use dfi_simnet::Sim;
-use std::cell::{Cell, RefCell};
-use std::rc::Rc;
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 
 const SEED: u64 = 0xFA_2019;
+const WORKERS: usize = 4;
 
 fn repro(point: &str) -> String {
-    format!("repro: snapshot_fanout seed={SEED:#x} shards=4 at={point}")
+    format!("repro: snapshot_fanout seed={SEED:#x} workers={WORKERS} at={point}")
 }
 
 fn rule(n: usize) -> PolicyRule {
@@ -32,32 +36,61 @@ fn rule(n: usize) -> PolicyRule {
     )
 }
 
-#[test]
-fn refused_snapshot_leaves_all_shards_on_the_same_prior_epoch() {
-    let mut sim = Sim::new(SEED);
-    let sharded = ShardedDfi::new(4, &DfiConfig::default());
+/// The snapshot each worker served at its last drain, worker order.
+type Served = Arc<Mutex<Vec<Option<Arc<PolicySnapshot>>>>>;
 
-    // Observe the bus like the analyzer would.
-    let published: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
-    let refused: Rc<Cell<u64>> = Rc::new(Cell::new(0));
-    {
-        let published = published.clone();
-        let refused = refused.clone();
-        sharded
-            .bus()
-            .subscribe(topic::SNAPSHOTS, move |_, ev| match ev {
-                DfiEvent::SnapshotPublished { epoch, .. } => published.borrow_mut().push(*epoch),
-                DfiEvent::SnapshotRefused { .. } => refused.set(refused.get() + 1),
-                _ => {}
-            });
+/// A switchless fleet whose workers report, through their observe hooks,
+/// the `Arc` their own `Dfi` serves.
+fn fleet(seed: u64) -> (ParallelShardedDfi, Served) {
+    let served: Served = Arc::new(Mutex::new(vec![None; WORKERS]));
+    let builders: Vec<WorldBuilder> = (0..WORKERS)
+        .map(|w| {
+            let served = Arc::clone(&served);
+            Box::new(move |_: &mut Sim, dfi: &Dfi, _: &Outbox| {
+                let dfi = dfi.clone();
+                let observe: ObserveFn = Box::new(move |_| {
+                    served.lock().unwrap()[w] = Some(dfi.snapshot());
+                    (Vec::new(), Vec::new())
+                });
+                WorkerWorld {
+                    taps: Vec::new(),
+                    boundaries: Vec::new(),
+                    observe,
+                }
+            }) as WorldBuilder
+        })
+        .collect();
+    let fleet = ParallelShardedDfi::new(&DfiConfig::default(), seed, builders, HashMap::new());
+    (fleet, served)
+}
+
+/// Drains the fleet and asserts every worker serves the front-end's
+/// current snapshot — the same `Arc`, not an equal recompilation.
+fn assert_serving_front_end_arc(fleet: &mut ParallelShardedDfi, served: &Served, point: &str) {
+    fleet.drain();
+    let published = fleet.snapshot();
+    for (w, got) in served.lock().unwrap().iter().enumerate() {
+        let got = got.as_ref().expect("every worker drained");
+        assert!(
+            Arc::ptr_eq(got, &published),
+            "worker {w} serves epoch {} but the front-end published epoch {}; {}",
+            got.epoch(),
+            published.epoch(),
+            repro(point)
+        );
     }
+}
+
+#[test]
+fn refused_snapshot_leaves_all_workers_on_the_same_prior_epoch() {
+    let (mut fleet, served) = fleet(SEED);
 
     // A flag-controlled certifier: refuses while `refusing` is set.
-    let refusing = Rc::new(Cell::new(false));
+    let refusing = Arc::new(AtomicBool::new(false));
     {
-        let refusing = refusing.clone();
-        sharded.set_snapshot_gate(Box::new(move |_, _| {
-            if refusing.get() {
+        let refusing = Arc::clone(&refusing);
+        fleet.set_snapshot_gate(Box::new(move |_| {
+            if refusing.load(Ordering::Relaxed) {
                 vec![SnapshotWitness {
                     kind: "test-refusal".into(),
                     rules: vec![],
@@ -69,100 +102,73 @@ fn refused_snapshot_leaves_all_shards_on_the_same_prior_epoch() {
         }));
     }
 
-    // Clean insert: every shard moves to the same fresh epoch.
-    sharded.insert_policy(&mut sim, rule(1), 10, "fanout-test");
-    sim.run();
-    assert!(sharded.epochs_agree(), "{}", repro("after-clean-insert"));
-    let settled = sharded.served_epochs()[0];
+    // Clean insert: every worker moves to the same fresh epoch.
+    fleet.insert_policy(rule(1), 10, "fanout-test");
+    assert_serving_front_end_arc(&mut fleet, &served, "after-clean-insert");
+    assert!(fleet.epochs_agree(), "{}", repro("after-clean-insert"));
+    let settled = fleet.served_epochs()[0];
 
-    // Refused insert: publication deferred, NO shard moves. The rule is a
+    // Refused insert: publication deferred, NO worker moves. The rule is a
     // higher-priority deny conflicting with rule(1)'s allow, so its flush
     // set is non-empty and lands on the deferred list.
-    refusing.set(true);
-    let id_b = sharded.insert_policy(
-        &mut sim,
+    refusing.store(true, Ordering::Relaxed);
+    let id_b = fleet.insert_policy(
         PolicyRule::deny(EndpointPattern::user("u1"), EndpointPattern::any()),
         50,
         "fanout-test",
     );
-    sim.run();
-    assert_eq!(refused.get(), 1, "{}", repro("after-refused-insert"));
-    assert!(sharded.epochs_agree(), "{}", repro("after-refused-insert"));
+    assert_serving_front_end_arc(&mut fleet, &served, "after-refused-insert");
     assert_eq!(
-        sharded.served_epochs(),
-        vec![settled; 4],
-        "a refusal must leave every shard on the prior epoch; {}",
+        fleet.served_epochs(),
+        vec![settled; WORKERS],
+        "a refusal must leave every worker on the prior epoch; {}",
         repro("after-refused-insert")
     );
-    let m = sharded.fanout_metrics();
-    assert_eq!(m.snapshot_refusals, 1, "{}", repro("after-refused-insert"));
+    assert_eq!(
+        fleet.fanout_metrics().snapshot_refusals,
+        1,
+        "{}",
+        repro("after-refused-insert")
+    );
 
     // Recovery: the next clean publication moves the whole fleet at once
     // and re-issues the flushes deferred at refusal time.
-    refusing.set(false);
-    let flushes_before = sharded.fanout_metrics().flush_fanouts;
-    sharded.insert_policy(&mut sim, rule(3), 10, "fanout-test");
-    sim.run();
-    assert!(sharded.epochs_agree(), "{}", repro("after-recovery"));
-    let recovered = sharded.served_epochs()[0];
+    refusing.store(false, Ordering::Relaxed);
+    let flushes_before = fleet.fanout_metrics().flush_fanouts;
+    fleet.insert_policy(rule(3), 10, "fanout-test");
+    assert_serving_front_end_arc(&mut fleet, &served, "after-recovery");
+    assert!(fleet.epochs_agree(), "{}", repro("after-recovery"));
+    let recovered = fleet.served_epochs()[0];
     assert!(
         recovered > settled,
         "recovery must advance the fleet epoch ({recovered} vs {settled}); {}",
         repro("after-recovery")
     );
     assert!(
-        sharded.fanout_metrics().flush_fanouts > flushes_before,
+        fleet.fanout_metrics().flush_fanouts > flushes_before,
         "recovery must re-issue the deferred flushes; {}",
-        repro("after-recovery")
-    );
-    assert_eq!(
-        published.borrow().last().copied(),
-        Some(recovered),
-        "{}",
         repro("after-recovery")
     );
     // The deferred rule is live after recovery.
     assert!(
-        sharded.with_pm(|pm| pm.get(id_b).is_some()),
+        fleet.snapshot().rules().any(|(id, _)| id == id_b),
         "{}",
         repro("after-recovery")
     );
+    fleet.shutdown();
 }
 
 #[test]
-fn retention_window_is_identical_across_shards_by_pointer() {
-    let mut sim = Sim::new(SEED ^ 1);
-    let sharded = ShardedDfi::new(4, &DfiConfig::default());
+fn retention_window_holds_the_last_certified_epochs_oldest_first() {
+    let (mut fleet, served) = fleet(SEED ^ 1);
     // Enough publications to roll the retention ring over.
     for n in 0..(SNAPSHOT_RETENTION + 3) {
-        sharded.insert_policy(&mut sim, rule(n), 10, "fanout-test");
-        sim.run();
+        fleet.insert_policy(rule(n), 10, "fanout-test");
+        assert_serving_front_end_arc(&mut fleet, &served, "retention");
     }
-    let histories: Vec<_> = sharded
-        .shards()
-        .iter()
-        .map(dfi_core::Dfi::snapshot_history)
-        .collect();
-    assert_eq!(
-        histories[0].len(),
-        SNAPSHOT_RETENTION,
-        "{}",
-        repro("retention")
-    );
-    for (i, h) in histories.iter().enumerate().skip(1) {
-        assert_eq!(h.len(), histories[0].len(), "{}", repro("retention"));
-        for (a, b) in histories[0].iter().zip(h.iter()) {
-            assert!(
-                Arc::ptr_eq(a, b),
-                "shard {i} retains a different compilation of epoch {}; {}",
-                a.epoch(),
-                repro("retention")
-            );
-        }
-    }
-    // The window is the most recent certified epochs, oldest first.
-    let epochs: Vec<u64> = histories[0].iter().map(|s| s.epoch()).collect();
-    let newest = sharded.served_epochs()[0];
+    let epochs: Vec<u64> = fleet.snapshot_history().iter().map(|s| s.epoch()).collect();
+    let newest = fleet.served_epochs()[0];
     let expect: Vec<u64> = (newest - SNAPSHOT_RETENTION as u64..newest).collect();
     assert_eq!(epochs, expect, "{}", repro("retention"));
+    fleet.shutdown();
 }

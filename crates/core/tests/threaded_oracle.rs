@@ -1,8 +1,9 @@
-//! Differential equivalence across a real thread boundary: the
-//! thread-parallel sharded proxy against the unsharded oracle.
+//! Differential equivalence across a real thread boundary: the sharded
+//! proxy against the unsharded oracle.
 //!
-//! The same seeded 360-step trace `sharded_oracle.rs` replays through the
-//! cooperative shards replays here through [`ParallelShardedDfi`] at 1, 2,
+//! One seeded 360-step trace — flows, policy inserts/revokes (each a live
+//! snapshot swap), DHCP moves, session toggles — replays through the
+//! unsharded [`dfi_core::Dfi`] and through [`ParallelShardedDfi`] at 1, 2,
 //! 4 and 8 **worker threads**, each owning a complete `Dfi` plus its slice
 //! of the leaf-spine fabric and its own controller replica on its own OS
 //! thread with its own deterministic clock. Fabric links whose two ends
@@ -12,11 +13,13 @@
 //! After every step the decision delta must be byte-identical to the
 //! oracle's: allowed/denied/spoof counts, per-policy attribution, and
 //! per-host deliveries. At the end, every switch's Table-0 cookie set must
-//! match, all workers must serve the same snapshot epoch, and the
-//! snapshot-swap count must equal the oracle's publication count. That is
-//! the concurrency proof obligation of the threading refactor: channel
-//! nondeterminism and worker-clock drift are confined to intra-epoch
-//! ordering, which this trace proves decision-irrelevant.
+//! match, all workers must serve the same snapshot epoch, the trace must
+//! have crossed at least 100 live snapshot swaps, and the fleet's swap
+//! count must equal the oracle's publication count. Any flow step whose
+//! decisions were all denials must deliver nothing (zero forbidden
+//! deliveries). That is the concurrency proof obligation of the sharded
+//! front-end: channel nondeterminism and worker-clock drift are confined
+//! to intra-epoch ordering, which this trace proves decision-irrelevant.
 //!
 //! Every assertion carries a one-line `(seed, spec)` repro.
 
@@ -124,7 +127,7 @@ fn builder_for(topo: Arc<Topology>, w: usize, n: usize) -> WorldBuilder {
 }
 
 /// The threaded replay world: the fleet plus the same replay-tracked state
-/// the cooperative `World` carries.
+/// the oracle's `World` carries.
 struct ThreadedWorld {
     fleet: ParallelShardedDfi,
     /// Per global host index: `(worker, tap index inside that worker)`.
@@ -162,8 +165,8 @@ fn build_threaded(seed: u64, threads: usize) -> ThreadedWorld {
             (w, t)
         })
         .collect();
-    // Boot: the same lease + name + session sequence the cooperative
-    // worlds publish over the bus, fanned out as binding batches.
+    // Boot: the same lease + name + session sequence the oracle world
+    // publishes over its bus, fanned out as binding batches.
     for h in &topo.hosts {
         for (_, ev) in boot_events(h) {
             apply_event(&mut fleet, &ev);
@@ -185,8 +188,8 @@ fn build_threaded(seed: u64, threads: usize) -> ThreadedWorld {
     }
 }
 
-/// One sensor event, routed exactly like the cooperative front-end's bus
-/// subscription: one epoch-stamped batch per event.
+/// One sensor event as one epoch-stamped batch, through the same
+/// event-to-op mapping the oracle's bus subscription applies.
 fn apply_event(fleet: &mut ParallelShardedDfi, ev: &DfiEvent) {
     if let Some(op) = binding_op_of_event(ev) {
         fleet.apply_binding_ops(vec![op]);
@@ -272,17 +275,29 @@ fn worker_threads_match_unsharded_oracle_across_swaps_and_moves() {
         )
     };
 
-    // Oracle run, once, on this thread — the identical world
-    // `sharded_oracle.rs` replays.
-    let mut oracle = build_world(seed, None);
+    // Oracle run, once, on this thread.
+    let mut oracle = build_world(seed);
     let expected: Vec<StepDelta> = script.iter().map(|s| oracle.apply(&topo, s)).collect();
     let oracle_cookies = oracle.cookie_sets();
-    let swaps = oracle.system.snapshot_swaps();
+    let swaps = oracle.dfi.metrics().snapshots_published;
     assert!(
         swaps >= 100,
         "trace must cross at least 100 live snapshot swaps, got {swaps}; \
          repro: SHARDED_ORACLE_SEED={seed} SHARDED_ORACLE_STEPS={steps}"
     );
+
+    // Zero forbidden deliveries, oracle side: an all-deny flow step
+    // delivers nothing anywhere. Every fleet below matches these deltas
+    // step for step, so it inherits the property.
+    for (i, (step, delta)) in script.iter().zip(&expected).enumerate() {
+        if matches!(step, Step::Flow { .. }) && delta.allowed == 0 && delta.denied > 0 {
+            assert!(
+                delta.deliveries.iter().all(|&d| d == 0),
+                "forbidden delivery on denied flow; {}",
+                repro(0, i, step)
+            );
+        }
+    }
 
     for threads in [1usize, 2, 4, 8] {
         let mut world = build_threaded(seed, threads);

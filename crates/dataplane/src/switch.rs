@@ -405,7 +405,6 @@ impl Switch {
     fn handle_control_message(&self, sim: &mut Sim, msg: OfMessage) {
         let xid = msg.xid;
         match msg.body {
-            Message::Hello => {} // handshake complete
             Message::EchoRequest(data) => {
                 self.send_control(sim, Message::EchoReply(data), Some(xid));
             }
@@ -429,8 +428,9 @@ impl Switch {
             Message::FlowMod(fm) => self.apply_flow_mod(sim, &fm),
             Message::PacketOut(po) => self.apply_packet_out(sim, &po),
             Message::MultipartRequest(req) => self.answer_multipart(sim, req, xid),
-            // Messages a switch does not expect are ignored (a real OVS
-            // would error; silence keeps adversarial-controller tests tidy).
+            // Hello completes the handshake; messages a switch does not
+            // expect are ignored (a real OVS would error; silence keeps
+            // adversarial-controller tests tidy).
             _ => {}
         }
     }

@@ -73,8 +73,7 @@ impl Dist {
         match *self {
             Dist::Constant(d) => d,
             Dist::Uniform(lo, hi) => (lo + hi) / 2,
-            Dist::Normal { mean, .. } => mean,
-            Dist::Exponential(mean) => mean,
+            Dist::Normal { mean, .. } | Dist::Exponential(mean) => mean,
         }
     }
 }

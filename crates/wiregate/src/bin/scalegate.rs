@@ -5,52 +5,52 @@
 //!
 //! 1. **Build** — `dfi_simnet::topo` generates the fabric (40 spines ×
 //!    960 leaves, 250 000 hosts × 2 users ⇒ exactly 1 000 000 topology
-//!    bindings, plus one MAC-location binding per attached host);
-//!    `Network::build_topology` materializes real switches; every switch
-//!    is interposed (no controller — a null upstream sink; the DFI's
+//!    bindings, plus one MAC-location binding per attached host). The
+//!    unsharded oracle materializes every switch with
+//!    `Network::build_topology`; the sharded fleet is a
+//!    [`ParallelShardedDfi`] per shard count {1, 2, 4, 8}, each worker
+//!    thread building its own shard's switches. Every switch is
+//!    interposed behind a null upstream sink (no controller; the DFI's
 //!    Table-0 pipeline runs regardless). Bindings load through the
 //!    epoch-stamped batch path (`apply_binding_ops` /
 //!    `apply_binding_batch`), and a ~512-rule hostname ACL is inserted
 //!    through the front-end.
 //! 2. **Equivalence (before any timing)** — the same seeded probe flows
-//!    are replayed one-at-a-time through the unsharded oracle and through
-//!    every sharded configuration; the per-probe
-//!    (allowed, denied, spoof-denied) deltas and the end-of-phase
-//!    per-policy attribution must match exactly. A mismatch hard-fails
-//!    the gate: it can never certify a wrong-answer speedup.
-//! 3. **Timing** — per shard count {1, 2, 4, 8}: a diurnally modulated
-//!    open-loop flow offer (thinned exponential arrivals at
-//!    `SCALE_RATE` f/s peak) races a compressed-day churn schedule
-//!    (`dfi_simnet::churn`: DHCP re-leases + session toggles, applied as
-//!    epoch-stamped binding batches mid-run). Reports accepted flows/sec
-//!    (sim time), wall-clock flows/sec, and TTFB p50/p99 from the
-//!    decision-latency samples of the timed window only.
+//!    are replayed one-at-a-time through the oracle and through every
+//!    fleet; the per-probe (allowed, denied, spoof-denied) deltas, the
+//!    end-of-phase per-policy attribution and the served epochs must
+//!    agree. A mismatch hard-fails the gate: it can never certify a
+//!    wrong-answer speedup.
+//! 3. **Timing** — on the same fleet: a diurnally modulated open-loop
+//!    flow offer (thinned exponential arrivals at `SCALE_RATE` f/s peak,
+//!    punted at absolute worker-sim times) races a compressed-day churn
+//!    schedule (`dfi_simnet::churn`: DHCP re-leases + session toggles,
+//!    applied as epoch-stamped binding batches mid-run). Reports accepted
+//!    flows/sec (sim time), wall-clock flows/sec (first enqueue through
+//!    the final drain fixpoint), and TTFB p50/p99 from the timed window's
+//!    decision-latency samples only.
 //!
 //! Two opt-in phases extend the report:
 //!
-//! 4. **`--wall`** — per thread count {1, 2, 4, 8}: the same 512-probe
-//!    equivalence trace and then the same offered-rate workload replayed
-//!    through [`ParallelShardedDfi`] — real OS worker threads, each owning
-//!    its shard's slice of the fabric — measuring **wall-clock** flows/sec
-//!    per mode (the cooperative shards' wall number is bookkeeping
-//!    overhead, the parallel one is the point). Gates that parallel wall
-//!    scaling is monotone in thread count (strictly, step over step, while
+//! 4. **`--wall`** — gates the timing phase's wall clock: wall scaling
+//!    must be monotone in thread count (strictly, step over step, while
 //!    threads fit on physical cores; oversubscribed points only have to
-//!    hold the no-collapse floor against the 1-thread run) and that the
-//!    8-thread/1-thread ratio clears a hardware-aware threshold: 3× where
-//!    ≥ 8 cores are available, `min(3, 0.6·cores)` on smaller hosts, and a
-//!    no-collapse floor on a single core (where a literal 3× is
-//!    physically impossible; the measured core count and applied
+//!    hold the no-collapse floor against the 1-thread run) and the
+//!    8-thread/1-thread ratio must clear a hardware-aware threshold: 3×
+//!    where ≥ 8 cores are available, `min(3, 0.6·cores)` on smaller
+//!    hosts, and a no-collapse floor on a single core (where a literal 3×
+//!    is physically impossible; the measured core count and applied
 //!    threshold are recorded in the report).
-//! 5. **`--sweep`** — the Fig-4 saturation sweep: constant offered rates
-//!    1k→16k f/s per shard count, reporting accepted rate and TTFB
-//!    p50/p99 per point (the paper's Fig. 4 axes).
+//! 5. **`--sweep`** — the Fig-4 saturation sweep on the same fleet:
+//!    constant offered rates 1k→16k f/s per shard count, reporting
+//!    accepted rate and TTFB p50/p99 per point (the paper's Fig. 4 axes).
 //!
 //! Prints a JSON report to stdout (captured into `BENCH_scale.json` by
-//! `scripts/check.sh --scale` / `--par`). With `--gate N` it exits
-//! non-zero unless equivalence held and the 8-shard configuration accepts
-//! at least `N`× the 1-shard configuration's flows (sim time), plus the
-//! wall gates above when `--wall` is given.
+//! `scripts/check.sh --scale` / `--par`), including every knob value used
+//! and the git revision. With `--gate N` it exits non-zero unless
+//! equivalence held and the 8-shard fleet accepts at least `N`× the
+//! 1-shard fleet's flows (sim time), plus the wall gates above when
+//! `--wall` is given.
 //!
 //! Knobs: `SCALE_ITERS` (offered flows per timed config, default 12 000),
 //! `SCALE_HOSTS`, `SCALE_LEAVES`, `SCALE_SPINES`, `SCALE_PROBES`,
@@ -66,8 +66,8 @@ use std::time::{Duration, Instant};
 use dfi_core::erm::Binding;
 use dfi_core::policy::{EndpointPattern, PolicyRule};
 use dfi_core::{
-    BindingBatch, BindingOp, Dfi, DfiConfig, DfiMetrics, ObserveFn, ParallelShardedDfi, ShardedDfi,
-    WorkerWorld, WorldBuilder,
+    BindingBatch, BindingOp, Dfi, DfiConfig, DfiMetrics, FleetReport, ObserveFn,
+    ParallelShardedDfi, WorkerWorld, WorldBuilder,
 };
 use dfi_dataplane::{ByteSink, Network, Switch, SwitchConfig, Tx};
 use dfi_packet::headers::build;
@@ -135,53 +135,33 @@ fn acl_rules(topo: &Topology, pool: &[usize], n_rules: usize) -> Vec<(PolicyRule
         .collect()
 }
 
-enum Sut {
-    Oracle(Dfi),
-    Sharded(ShardedDfi),
-}
-
-struct Config {
+/// The unsharded oracle over the whole fabric, on one thread.
+struct Oracle {
     sim: Sim,
-    sut: Sut,
+    dfi: Dfi,
     /// Keeps the switch fabric alive.
     _net: Network,
-    /// Injection handles for the probe/offer pool, pool order.
+    /// Injection handles for the probe pool, pool order.
     tx: Vec<Tx>,
 }
 
-impl Config {
+impl Oracle {
     fn decided(&self) -> (u64, u64, u64) {
-        let m = match &self.sut {
-            Sut::Oracle(d) => d.metrics(),
-            Sut::Sharded(s) => s.metrics(),
-        };
+        let m = self.dfi.metrics();
         (m.allowed, m.denied, m.spoof_denied)
     }
 }
 
-fn build(topo: &Topology, pool: &[usize], seed: u64, shards: Option<usize>) -> Config {
+fn build_oracle(topo: &Topology, pool: &[usize], seed: u64) -> Oracle {
     let mut sim = Sim::new(seed);
     let mut net = Network::new();
     let switches = net.build_topology(topo, Duration::from_micros(50));
     let null: ByteSink = Rc::new(|_, _| {});
-    let sut = match shards {
-        None => {
-            let dfi = Dfi::new(DfiConfig::default());
-            for sw in &switches {
-                let n = null.clone();
-                dfi.interpose(&mut sim, sw, move |_, _| n);
-            }
-            Sut::Oracle(dfi)
-        }
-        Some(n_shards) => {
-            let sharded = ShardedDfi::new(n_shards, &DfiConfig::default());
-            for sw in &switches {
-                let n = null.clone();
-                sharded.interpose(&mut sim, sw, move |_, _| n);
-            }
-            Sut::Sharded(sharded)
-        }
-    };
+    let dfi = Dfi::new(DfiConfig::default());
+    for sw in &switches {
+        let n = null.clone();
+        dfi.interpose(&mut sim, sw, move |_, _| n);
+    }
     let tx = pool
         .iter()
         .map(|&i| {
@@ -193,30 +173,18 @@ fn build(topo: &Topology, pool: &[usize], seed: u64, shards: Option<usize>) -> C
             )
         })
         .collect();
-    // Bindings through the batch path, policy through the front-end.
-    let ops = binding_ops(topo);
-    match &sut {
-        Sut::Oracle(d) => {
-            let _fresh = d.apply_binding_batch(&BindingBatch { epoch: 0, ops });
-        }
-        Sut::Sharded(s) => {
-            let _epoch = s.apply_binding_ops(ops);
-        }
-    }
+    // Bindings through the batch path, policy through the front door.
+    let _fresh = dfi.apply_binding_batch(&BindingBatch {
+        epoch: 0,
+        ops: binding_ops(topo),
+    });
     for (rule, priority) in acl_rules(topo, pool, 512) {
-        match &sut {
-            Sut::Oracle(d) => {
-                d.insert_policy(&mut sim, rule, priority, "scalegate");
-            }
-            Sut::Sharded(s) => {
-                s.insert_policy(&mut sim, rule, priority, "scalegate");
-            }
-        }
+        dfi.insert_policy(&mut sim, rule, priority, "scalegate");
     }
     sim.run();
-    Config {
+    Oracle {
         sim,
-        sut,
+        dfi,
         _net: net,
         tx,
     }
@@ -243,10 +211,10 @@ fn probe_frame(topo: &Topology, pool: &[usize], i: usize) -> (usize, Vec<u8>) {
     (src, frame)
 }
 
-/// Replays the probes one at a time, returning the per-probe decision
-/// deltas. This is the equivalence trace compared across configurations.
+/// Replays the probes one at a time through the oracle, returning the
+/// per-probe decision deltas every fleet must reproduce.
 fn probe_trace(
-    cfg: &mut Config,
+    cfg: &mut Oracle,
     topo: &Topology,
     pool: &[usize],
     probes: usize,
@@ -306,7 +274,7 @@ fn churn_binding_ops(topo: &Topology, op: ChurnOp) -> Vec<BindingOp> {
 
 /// The diurnally thinned open-loop flow offer as `(t_secs, pool src index,
 /// frame)` per flow, plus the horizon. One seed produces one schedule, so
-/// the cooperative and thread-parallel modes replay the identical offer.
+/// every shard count replays the identical offer.
 fn offer_schedule(
     topo: &Topology,
     pool: &[usize],
@@ -346,116 +314,19 @@ fn offer_schedule(
     (out, Duration::from_secs_f64(t))
 }
 
-struct Timing {
-    offered: usize,
-    accepted: u64,
-    dropped: u64,
-    sim_secs: f64,
-    wall_secs: f64,
-    ttfb_p50_ms: f64,
-    ttfb_p99_ms: f64,
-    binding_batches: u64,
-}
-
-/// The timed window: diurnal flow offer + churn batches, measuring only
-/// samples recorded after this point.
-fn run_timed(
-    cfg: &mut Config,
-    topo: &Topology,
-    pool: &[usize],
-    offered: usize,
-    peak_rate: f64,
-    seed: u64,
-) -> Timing {
-    let sharded = match &cfg.sut {
-        Sut::Sharded(s) => s.clone(),
-        Sut::Oracle(_) => unreachable!("only sharded configurations are timed"),
-    };
-    let base: Vec<usize> = sharded
-        .shards()
-        .iter()
-        .map(|s| s.metrics().overall.count())
-        .collect();
-    let (accept0, deny0, spoof0) = cfg.decided();
-    let dropped0 = sharded.metrics().dropped;
-
-    // Thinned exponential arrivals against the diurnal profile; the day is
-    // compressed so the offer sweeps trough→peak→trough inside the run.
-    let (offer, horizon) = offer_schedule(topo, pool, offered, peak_rate, seed);
-    let day = Duration::from_secs_f64(offered as f64 / peak_rate);
-    let scheduled = offer.len();
-    for (t, src, frame) in offer {
-        let tx = cfg.tx[src].clone();
-        cfg.sim.schedule_in(Duration::from_secs_f64(t), move |sim| {
-            tx.send(sim, frame);
-        });
-    }
-
-    // The churn schedule, applied as epoch-stamped batches mid-run.
-    let churn = generate_churn(
-        topo,
-        &ChurnParams {
-            day,
-            horizon,
-            lease_moves_per_host_day: 0.02,
-            session_toggles_per_user_day: 0.01,
-        },
-        seed,
-    );
-    let n_churn = churn.len();
-    for ev in churn {
-        let ops = churn_binding_ops(topo, ev.op);
-        let s = sharded.clone();
-        let delay = Duration::from_nanos(ev.at.as_nanos());
-        cfg.sim.schedule_in(delay, move |_| {
-            let _epoch = s.apply_binding_ops(ops);
-        });
-    }
-    eprintln!(
-        "  timed window: {offered} flows over {:.2} sim-s, {n_churn} churn events",
-        horizon.as_secs_f64()
-    );
-
-    let t0 = cfg.sim.now();
-    let wall = Instant::now();
-    cfg.sim.run();
-    let wall_secs = wall.elapsed().as_secs_f64();
-    let sim_secs = cfg.sim.now().saturating_duration_since(t0).as_secs_f64();
-
-    let (a, d, sp) = cfg.decided();
-    let accepted = (a - accept0) + (d - deny0) + (sp - spoof0);
-    let mut ttfb = Summary::new();
-    for (shard, skip) in sharded.shards().iter().zip(&base) {
-        for s in &shard.metrics().overall.samples()[*skip..] {
-            ttfb.push(*s);
-        }
-    }
-    Timing {
-        offered: scheduled,
-        accepted,
-        dropped: sharded.metrics().dropped - dropped0,
-        sim_secs,
-        wall_secs,
-        ttfb_p50_ms: ttfb.percentile(0.50) * 1e3,
-        ttfb_p99_ms: ttfb.percentile(0.99) * 1e3,
-        binding_batches: sharded.fanout_metrics().binding_batches,
-    }
-}
-
-/// The thread-parallel fleet plus its pool-order injection map.
+/// The worker-thread fleet plus its pool-order injection map.
 struct ParFleet {
     fleet: ParallelShardedDfi,
     /// Per pool index: `(worker, tap index inside that worker)`.
     tap_of: Vec<(usize, u32)>,
 }
 
-/// Worker `w`'s world for the wall phase: its shard's switches behind a
-/// null upstream sink (same no-controller build as the cooperative
-/// configurations) and the pool hosts homed on them. No inter-switch
-/// links are wired — with a null controller nothing forwards, so no
-/// boundary relays exist and the workers share nothing but snapshots and
-/// binding batches.
-fn wall_builder(topo: Arc<Topology>, pool: Arc<Vec<usize>>, w: usize, n: usize) -> WorldBuilder {
+/// Worker `w`'s world: its shard's switches behind a null upstream sink
+/// (the oracle's no-controller build) and the pool hosts homed on them.
+/// No inter-switch links are wired — with a null controller nothing
+/// forwards, so no boundary relays exist and the workers share nothing
+/// but snapshots and binding batches.
+fn worker_builder(topo: Arc<Topology>, pool: Arc<Vec<usize>>, w: usize, n: usize) -> WorldBuilder {
     Box::new(move |sim, dfi, _outbox| {
         let mut net = Network::new();
         let null: ByteSink = Rc::new(|_, _| {});
@@ -485,8 +356,8 @@ fn wall_builder(topo: Arc<Topology>, pool: Arc<Vec<usize>>, w: usize, n: usize) 
 }
 
 /// Builds and loads a [`ParallelShardedDfi`] over `threads` worker
-/// threads: same bindings (chunked so no command channel balloons) and the
-/// same ACL as every cooperative configuration.
+/// threads: the oracle's bindings (chunked so no command channel
+/// balloons) and the oracle's ACL.
 fn build_parallel(
     topo: &Arc<Topology>,
     pool: &Arc<Vec<usize>>,
@@ -494,7 +365,7 @@ fn build_parallel(
     threads: usize,
 ) -> ParFleet {
     let builders: Vec<WorldBuilder> = (0..threads)
-        .map(|w| wall_builder(Arc::clone(topo), Arc::clone(pool), w, threads))
+        .map(|w| worker_builder(Arc::clone(topo), Arc::clone(pool), w, threads))
         .collect();
     let mut fleet = ParallelShardedDfi::new(&DfiConfig::default(), seed, builders, HashMap::new());
     let mut next_tap = vec![0u32; threads];
@@ -520,7 +391,7 @@ fn build_parallel(
     ParFleet { fleet, tap_of }
 }
 
-/// The equivalence trace against a thread-parallel fleet: one probe at a
+/// The equivalence trace against a fleet: one probe at a
 /// time through the owning worker, per-probe decision deltas plus the
 /// final merged metrics (for attribution comparison).
 fn probe_trace_parallel(
@@ -546,40 +417,86 @@ fn probe_trace_parallel(
     (out, metrics)
 }
 
-struct WallTiming {
+/// Fleet readings at the start of a measured window.
+struct Window {
+    /// Decision-latency samples each worker had recorded, shard order.
+    samples: Vec<usize>,
+    decided: u64,
+    dropped: u64,
+    /// The latest worker clock (clocks drift: only workers with events
+    /// advance).
+    latest: SimTime,
+}
+
+/// What one measured window saw.
+struct Measured {
     offered: usize,
     accepted: u64,
     dropped: u64,
     sim_secs: f64,
-    wall_secs: f64,
     ttfb_p50_ms: f64,
     ttfb_p99_ms: f64,
 }
 
-/// The wall-clock window: the identical offer `run_timed` replays, punted
-/// as absolute-time injections across the worker threads, racing the same
-/// churn schedule applied as fleet-wide binding batches. The wall timer
-/// spans first enqueue through the final drain fixpoint.
-fn run_wall(
+fn decisions(m: &DfiMetrics) -> u64 {
+    m.allowed + m.denied + m.spoof_denied
+}
+
+impl Window {
+    fn open(fleet: &mut ParallelShardedDfi) -> Window {
+        let r = fleet.drain();
+        Window {
+            samples: r.per_shard.iter().map(|m| m.overall.count()).collect(),
+            decided: decisions(&r.metrics),
+            dropped: r.metrics.dropped,
+            latest: r.clocks.iter().copied().max().unwrap_or_default(),
+        }
+    }
+
+    /// The window from `start` to the drained fixpoint `after`: decisions
+    /// and drops since opening, the sim span up to the last worker's
+    /// clock, and the TTFB tail over the window's samples only.
+    fn measure(&self, after: &FleetReport, start: SimTime, offered: usize) -> Measured {
+        let end = after.clocks.iter().copied().max().unwrap_or(start);
+        let mut ttfb = Summary::new();
+        for (m, skip) in after.per_shard.iter().zip(&self.samples) {
+            for s in &m.overall.samples()[*skip..] {
+                ttfb.push(*s);
+            }
+        }
+        Measured {
+            offered,
+            accepted: decisions(&after.metrics) - self.decided,
+            dropped: after.metrics.dropped - self.dropped,
+            sim_secs: end.saturating_duration_since(start).as_secs_f64(),
+            ttfb_p50_ms: ttfb.percentile(0.50) * 1e3,
+            ttfb_p99_ms: ttfb.percentile(0.99) * 1e3,
+        }
+    }
+}
+
+struct Timing {
+    m: Measured,
+    wall_secs: f64,
+    binding_batches: u64,
+}
+
+/// The timed window: the diurnal offer punted as absolute-time
+/// injections across the worker threads, racing the churn schedule
+/// applied as fleet-wide binding batches. The wall timer spans first
+/// enqueue through the final drain fixpoint.
+fn run_timed(
     pf: &mut ParFleet,
     topo: &Topology,
     pool: &[usize],
     offered: usize,
     peak_rate: f64,
     seed: u64,
-) -> WallTiming {
-    let before = pf.fleet.drain();
-    let base: Vec<usize> = before.per_shard.iter().map(|m| m.overall.count()).collect();
-    let (accept0, deny0, spoof0) = (
-        before.metrics.allowed,
-        before.metrics.denied,
-        before.metrics.spoof_denied,
-    );
-    let dropped0 = before.metrics.dropped;
-    // Worker clocks drift (only workers with events advance); anchor the
-    // window past every clock so absolute injection times are in every
-    // worker's future.
-    let t0 = before.clocks.iter().copied().max().unwrap_or_default() + Duration::from_millis(1);
+) -> Timing {
+    let window = Window::open(&mut pf.fleet);
+    // Anchor the window past every worker clock so absolute injection
+    // times are in every worker's future.
+    let t0 = window.latest + Duration::from_millis(1);
 
     let (offer, horizon) = offer_schedule(topo, pool, offered, peak_rate, seed);
     let day = Duration::from_secs_f64(offered as f64 / peak_rate);
@@ -595,7 +512,7 @@ fn run_wall(
         seed,
     );
     eprintln!(
-        "  wall window: {scheduled} flows over {:.2} sim-s, {} churn events",
+        "  timed window: {scheduled} flows over {:.2} sim-s, {} churn events",
         horizon.as_secs_f64(),
         churn.len()
     );
@@ -613,66 +530,31 @@ fn run_wall(
     }
     let after = pf.fleet.drain();
     let wall_secs = wall.elapsed().as_secs_f64();
-
-    let end = after.clocks.iter().copied().max().unwrap_or(t0);
-    let accepted = (after.metrics.allowed - accept0)
-        + (after.metrics.denied - deny0)
-        + (after.metrics.spoof_denied - spoof0);
-    let mut ttfb = Summary::new();
-    for (m, skip) in after.per_shard.iter().zip(&base) {
-        for s in &m.overall.samples()[*skip..] {
-            ttfb.push(*s);
-        }
-    }
-    WallTiming {
-        offered: scheduled,
-        accepted,
-        dropped: after.metrics.dropped - dropped0,
-        sim_secs: end.saturating_duration_since(t0).as_secs_f64(),
+    Timing {
+        m: window.measure(&after, t0, scheduled),
         wall_secs,
-        ttfb_p50_ms: ttfb.percentile(0.50) * 1e3,
-        ttfb_p99_ms: ttfb.percentile(0.99) * 1e3,
+        binding_batches: pf.fleet.fanout_metrics().binding_batches,
     }
-}
-
-struct SweepPoint {
-    rate: f64,
-    offered: usize,
-    accepted: u64,
-    dropped: u64,
-    sim_secs: f64,
-    ttfb_p50_ms: f64,
-    ttfb_p99_ms: f64,
 }
 
 /// The Fig-4 saturation sweep: constant-rate exponential arrivals at each
-/// offered rate, run to quiescence, reporting the accepted rate and the
-/// TTFB tail per point. Saturation shows up as `dropped` climbing and the
-/// accepted rate flattening below the offer.
+/// offered rate, drained to the fixpoint, reporting the accepted rate and
+/// the TTFB tail per point. Saturation shows up as `dropped` climbing and
+/// the accepted rate flattening below the offer.
 fn run_sweep(
-    cfg: &mut Config,
+    pf: &mut ParFleet,
     topo: &Topology,
     pool: &[usize],
     rates: &[f64],
     flows: usize,
     seed: u64,
-) -> Vec<SweepPoint> {
-    let sharded = match &cfg.sut {
-        Sut::Sharded(s) => s.clone(),
-        Sut::Oracle(_) => unreachable!("only sharded configurations sweep"),
-    };
+) -> Vec<(f64, Measured)> {
     let mut sport = 20_000u16;
     let mut out = Vec::with_capacity(rates.len());
     for (ri, &rate) in rates.iter().enumerate() {
-        let base: Vec<usize> = sharded
-            .shards()
-            .iter()
-            .map(|s| s.metrics().overall.count())
-            .collect();
-        let (accept0, deny0, spoof0) = cfg.decided();
-        let dropped0 = sharded.metrics().dropped;
+        let window = Window::open(&mut pf.fleet);
+        let start = window.latest;
         let mut rng = SimRng::new(seed ^ 0xF164 ^ ((ri as u64) << 32));
-        let t_start = cfg.sim.now();
         let mut t = 0.0f64;
         for i in 0..flows {
             t += rng.exponential(1.0 / rate);
@@ -693,36 +575,26 @@ fn run_sweep(
                 if i.is_multiple_of(2) { 445 } else { 80 },
             );
             sport = sport.wrapping_add(1);
-            let tx = cfg.tx[src].clone();
-            cfg.sim.schedule_in(Duration::from_secs_f64(t), move |sim| {
-                tx.send(sim, frame);
-            });
+            let (w, tap) = pf.tap_of[src];
+            pf.fleet
+                .punt_at(w, tap, frame, start + Duration::from_secs_f64(t));
         }
-        cfg.sim.run();
-        let sim_secs = cfg
-            .sim
-            .now()
-            .saturating_duration_since(t_start)
-            .as_secs_f64();
-        let (a, d, sp) = cfg.decided();
-        let accepted = (a - accept0) + (d - deny0) + (sp - spoof0);
-        let mut ttfb = Summary::new();
-        for (shard, skip) in sharded.shards().iter().zip(&base) {
-            for v in &shard.metrics().overall.samples()[*skip..] {
-                ttfb.push(*v);
-            }
-        }
-        out.push(SweepPoint {
-            rate,
-            offered: flows,
-            accepted,
-            dropped: sharded.metrics().dropped - dropped0,
-            sim_secs,
-            ttfb_p50_ms: ttfb.percentile(0.50) * 1e3,
-            ttfb_p99_ms: ttfb.percentile(0.99) * 1e3,
-        });
+        let after = pf.fleet.drain();
+        out.push((rate, window.measure(&after, start, flows)));
     }
     out
+}
+
+/// The git revision the binary runs from (`-dirty` when the work tree
+/// differs), or `unknown` outside a checkout.
+fn git_revision() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=12"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |r| r.trim().to_string())
 }
 
 fn main() -> ExitCode {
@@ -800,21 +672,18 @@ fn main() -> ExitCode {
     );
 
     eprintln!("oracle: loading {bindings} bindings...");
-    let mut oracle = build(&topo, &pool, seed, None);
+    let mut oracle = build_oracle(&topo, &pool, seed);
     let want = probe_trace(&mut oracle, &topo, &pool, probes);
-    let oracle_by_policy = match &oracle.sut {
-        Sut::Oracle(d) => d.metrics().decisions_by_policy,
-        Sut::Sharded(_) => unreachable!(),
-    };
+    let oracle_by_policy = oracle.dfi.metrics().decisions_by_policy;
     drop(oracle);
 
     let mut equivalent = true;
-    let mut results = Vec::new();
-    let mut sweeps: Vec<(usize, Vec<SweepPoint>)> = Vec::new();
+    let mut results: Vec<(usize, Timing)> = Vec::new();
+    let mut sweeps: Vec<(usize, Vec<(f64, Measured)>)> = Vec::new();
     for &n in &shard_counts {
         eprintln!("shards={n}: loading {bindings} bindings...");
-        let mut cfg = build(&topo, &pool, seed, Some(n));
-        let got = probe_trace(&mut cfg, &topo, &pool, probes);
+        let mut pf = build_parallel(&topo, &pool, seed, n);
+        let (got, metrics) = probe_trace_parallel(&mut pf, &topo, &pool, probes);
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
             if g != w {
                 eprintln!(
@@ -824,86 +693,46 @@ fn main() -> ExitCode {
                 equivalent = false;
             }
         }
-        if let Sut::Sharded(s) = &cfg.sut {
-            if s.metrics().decisions_by_policy != oracle_by_policy {
-                eprintln!(
-                    "EQUIVALENCE FAIL shards={n}: per-policy attribution diverged \
-                     (repro: SCALE_SEED={seed} SCALE_PROBES={probes})"
-                );
-                equivalent = false;
-            }
-            if !s.epochs_agree() {
-                eprintln!("EQUIVALENCE FAIL shards={n}: shards serve different epochs");
-                equivalent = false;
-            }
+        if metrics.decisions_by_policy != oracle_by_policy {
+            eprintln!(
+                "EQUIVALENCE FAIL shards={n}: per-policy attribution diverged \
+                 (repro: SCALE_SEED={seed} SCALE_PROBES={probes})"
+            );
+            equivalent = false;
+        }
+        if !pf.fleet.epochs_agree() {
+            eprintln!("EQUIVALENCE FAIL shards={n}: workers serve different epochs");
+            equivalent = false;
         }
         if !equivalent {
+            pf.fleet.shutdown();
             break;
         }
-        let t = run_timed(&mut cfg, &topo, &pool, offered, peak_rate, seed);
+        let t = run_timed(&mut pf, &topo, &pool, offered, peak_rate, seed);
         results.push((n, t));
         if do_sweep {
-            eprintln!("shards={n}: sweeping {:?} f/s...", sweep_rates);
-            let pts = run_sweep(&mut cfg, &topo, &pool, &sweep_rates, sweep_flows, seed);
+            eprintln!("shards={n}: sweeping {sweep_rates:?} f/s...");
+            let pts = run_sweep(&mut pf, &topo, &pool, &sweep_rates, sweep_flows, seed);
             sweeps.push((n, pts));
         }
-        drop(cfg);
+        pf.fleet.shutdown();
     }
 
-    // Phase 4: the same workload through real worker threads, wall-clocked.
-    let mut wall_results: Vec<(usize, WallTiming)> = Vec::new();
-    if do_wall && equivalent {
-        for &n in &shard_counts {
-            eprintln!("threads={n}: loading {bindings} bindings...");
-            let mut pf = build_parallel(&topo, &pool, seed, n);
-            let (got, metrics) = probe_trace_parallel(&mut pf, &topo, &pool, probes);
-            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                if g != w {
-                    eprintln!(
-                        "EQUIVALENCE FAIL threads={n} probe={i}: parallel={g:?} oracle={w:?} \
-                         (repro: SCALE_SEED={seed} SCALE_PROBES={probes})"
-                    );
-                    equivalent = false;
-                }
-            }
-            if metrics.decisions_by_policy != oracle_by_policy {
-                eprintln!(
-                    "EQUIVALENCE FAIL threads={n}: per-policy attribution diverged \
-                     (repro: SCALE_SEED={seed} SCALE_PROBES={probes})"
-                );
-                equivalent = false;
-            }
-            if !pf.fleet.epochs_agree() {
-                eprintln!("EQUIVALENCE FAIL threads={n}: workers serve different epochs");
-                equivalent = false;
-            }
-            if !equivalent {
-                pf.fleet.shutdown();
-                break;
-            }
-            let t = run_wall(&mut pf, &topo, &pool, offered, peak_rate, seed);
-            pf.fleet.shutdown();
-            wall_results.push((n, t));
-        }
-    }
-
-    let ratio = match (results.first(), results.last()) {
-        (Some((1, one)), Some((8, eight))) if one.accepted > 0 => {
-            (eight.accepted as f64 / eight.sim_secs) / (one.accepted as f64 / one.sim_secs)
-        }
-        _ => 0.0,
-    };
-    let wall_fps = |t: &WallTiming| t.accepted as f64 / t.wall_secs;
-    let wall_ratio = match (wall_results.first(), wall_results.last()) {
-        (Some((1, one)), Some((8, eight))) if one.accepted > 0 => wall_fps(eight) / wall_fps(one),
-        _ => 0.0,
+    let sim_fps = |t: &Timing| t.m.accepted as f64 / t.m.sim_secs;
+    let wall_fps = |t: &Timing| t.m.accepted as f64 / t.wall_secs;
+    let (ratio, wall_ratio) = match (results.first(), results.last()) {
+        (Some((1, one)), Some((8, eight))) if one.m.accepted > 0 => (
+            sim_fps(eight) / sim_fps(one),
+            wall_fps(eight) / wall_fps(one),
+        ),
+        _ => (0.0, 0.0),
     };
     // Monotonicity is only meaningful while threads fit on real cores:
     // past that point added workers cannot add parallelism and step-to-step
     // deltas measure the scheduler, not the sharding. Oversubscribed points
     // are instead held to the no-collapse floor against the 1-thread run.
-    let wall_base = wall_results.first().map_or(0.0, |(_, t)| wall_fps(t));
-    let wall_monotone = wall_results.windows(2).all(|w| {
+    let wall_base = results.first().map_or(0.0, |(_, t)| wall_fps(t));
+    let wall_monotone = results.windows(2).all(|w| {
         if w[1].0 <= cores {
             wall_fps(&w[1].1) >= wall_tol * wall_fps(&w[0].1)
         } else {
@@ -912,12 +741,20 @@ fn main() -> ExitCode {
     });
     let wall_pass = !do_wall
         || (equivalent
-            && wall_results.len() == shard_counts.len()
+            && results.len() == shard_counts.len()
             && wall_ratio >= wall_gate
             && wall_monotone);
     let pass = equivalent && gate.is_none_or(|g| ratio >= g) && wall_pass;
 
     println!("{{");
+    println!("  \"git_revision\": \"{}\",", git_revision());
+    println!(
+        "  \"knobs\": {{\"SCALE_SEED\": {seed}, \"SCALE_ITERS\": {offered}, \
+         \"SCALE_PROBES\": {probes}, \"SCALE_HOSTS\": {hosts}, \"SCALE_LEAVES\": {leaves}, \
+         \"SCALE_SPINES\": {spines}, \"SCALE_POOL\": {pool_size}, \"SCALE_RATE\": {peak_rate}, \
+         \"SCALE_SWEEP_ITERS\": {sweep_flows}, \"SCALE_WALL_GATE\": {wall_gate}, \
+         \"SCALE_WALL_TOL\": {wall_tol}}},"
+    );
     println!(
         "  \"topology\": {{\"switches\": {}, \"hosts\": {}, \"bindings\": {bindings}}},",
         topo.switches.len(),
@@ -930,38 +767,21 @@ fn main() -> ExitCode {
         "  \"hardware\": {{\"cores\": {cores}, \"wall_gate\": {wall_gate:.2}, \
          \"wall_tol\": {wall_tol:.2}}},"
     );
-    println!("  \"cooperative\": [");
+    println!("  \"parallel\": [");
     for (i, (n, t)) in results.iter().enumerate() {
         let comma = if i + 1 < results.len() { "," } else { "" };
         println!(
-            "    {{\"shards\": {n}, \"offered\": {}, \"accepted\": {}, \"dropped\": {}, \
-             \"sim_flows_per_sec\": {:.0}, \"wall_flows_per_sec_cooperative\": {:.0}, \
-             \"ttfb_ms\": {{\"p50\": {:.3}, \"p99\": {:.3}}}, \"binding_batches\": {}}}{comma}",
-            t.offered,
-            t.accepted,
-            t.dropped,
-            t.accepted as f64 / t.sim_secs,
-            t.accepted as f64 / t.wall_secs,
-            t.ttfb_p50_ms,
-            t.ttfb_p99_ms,
-            t.binding_batches
-        );
-    }
-    println!("  ],");
-    println!("  \"parallel\": [");
-    for (i, (n, t)) in wall_results.iter().enumerate() {
-        let comma = if i + 1 < wall_results.len() { "," } else { "" };
-        println!(
             "    {{\"threads\": {n}, \"offered\": {}, \"accepted\": {}, \"dropped\": {}, \
              \"sim_flows_per_sec\": {:.0}, \"wall_flows_per_sec_parallel\": {:.0}, \
-             \"ttfb_ms\": {{\"p50\": {:.3}, \"p99\": {:.3}}}}}{comma}",
-            t.offered,
-            t.accepted,
-            t.dropped,
-            t.accepted as f64 / t.sim_secs,
+             \"ttfb_ms\": {{\"p50\": {:.3}, \"p99\": {:.3}}}, \"binding_batches\": {}}}{comma}",
+            t.m.offered,
+            t.m.accepted,
+            t.m.dropped,
+            sim_fps(t),
             wall_fps(t),
-            t.ttfb_p50_ms,
-            t.ttfb_p99_ms,
+            t.m.ttfb_p50_ms,
+            t.m.ttfb_p99_ms,
+            t.binding_batches,
         );
     }
     println!("  ],");
@@ -969,14 +789,13 @@ fn main() -> ExitCode {
     let n_points: usize = sweeps.iter().map(|(_, pts)| pts.len()).sum();
     let mut emitted = 0usize;
     for (n, pts) in &sweeps {
-        for p in pts {
+        for (rate, p) in pts {
             emitted += 1;
             let comma = if emitted < n_points { "," } else { "" };
             println!(
-                "    {{\"shards\": {n}, \"offered_rate\": {:.0}, \"offered\": {}, \
+                "    {{\"shards\": {n}, \"offered_rate\": {rate:.0}, \"offered\": {}, \
                  \"accepted\": {}, \"dropped\": {}, \"accepted_rate\": {:.0}, \
                  \"ttfb_ms\": {{\"p50\": {:.3}, \"p99\": {:.3}}}}}{comma}",
-                p.rate,
                 p.offered,
                 p.accepted,
                 p.dropped,

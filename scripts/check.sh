@@ -34,13 +34,13 @@
 #                             clean-fabric gate, and the 1000-switch
 #                             leaf-spine incremental-vs-full recheck with a
 #                             >=100x speedup gate (writes BENCH_reach.json)
-#   scripts/check.sh --scale  fleet-scale tier only: the sharded-vs-unsharded
-#                             differential oracle and topology proptests,
-#                             then the dfi-scalegate 1000-switch / ~1M-binding
-#                             run — probe equivalence verified before any
-#                             timing, >=2x 8-shard throughput scaling gate
-#                             (SCALE_ITERS trims the offered flows; writes
-#                             BENCH_scale.json)
+#   scripts/check.sh --scale  fleet-scale tier only: the threaded-vs-unsharded
+#                             differential oracle (threaded_oracle) and
+#                             topology proptests, then the dfi-scalegate
+#                             1000-switch / ~1M-binding run on the worker-
+#                             thread fleet — probe equivalence verified
+#                             before any timing, >=2x 8-shard throughput
+#                             scaling gate (writes BENCH_scale.json)
 #   scripts/check.sh --par    thread-parallel tier only: the threaded
 #                             differential oracle (byte-identical 360-step
 #                             trace across 1/2/4/8 worker threads), the
@@ -49,6 +49,10 @@
 #                             phases — Fig-4 saturation curves plus the
 #                             hardware-aware parallel wall-scaling and
 #                             monotonicity gates (writes BENCH_scale.json)
+#
+#   The scale tiers write BENCH_scale.json only when no SCALE_* variable is
+#   set: a run with reduced or pinned knobs prints its report but never
+#   overwrites the default-knob baseline.
 #   scripts/check.sh --repair repair tier only: the repair-convergence
 #                             proptests and snapshot-rollback regressions,
 #                             the per-corpus `repair --expect-repaired`
@@ -110,9 +114,22 @@ if [[ "$DECIDE_ONLY" == 1 ]]; then
   exit 0
 fi
 
+# Passes a scalegate report through, writing it to BENCH_scale.json only
+# for a default-knob run.
+scale_report() {
+  local knobs
+  knobs=$(env | grep '^SCALE_' || true)
+  if [[ -n "$knobs" ]]; then
+    echo "SCALE_* knobs set; BENCH_scale.json left unchanged:" $knobs >&2
+    cat
+  else
+    tee BENCH_scale.json
+  fi
+}
+
 run_scale_tests() {
-  echo "== sharded-vs-unsharded differential oracle (100+ live snapshot swaps) =="
-  cargo test -q -p dfi-core --test sharded_oracle
+  echo "== threaded-vs-unsharded differential oracle (100+ live snapshot swaps) =="
+  cargo test -q -p dfi-core --test threaded_oracle
   echo "== generated-topology properties (counts, connectivity, shard partition) =="
   cargo test -q -p dfi-simnet --test proptest_topo
 }
@@ -121,8 +138,7 @@ run_scale() {
   run_scale_tests
   echo "== dfi-scalegate: 1000-switch / ~1M-binding fleet, equivalence then >=2x scaling gate =="
   cargo build -q --release -p dfi-wiregate
-  SCALE_ITERS="${SCALE_ITERS:-12000}" \
-    ./target/release/dfi-scalegate --gate 2 | tee BENCH_scale.json
+  ./target/release/dfi-scalegate --gate 2 | scale_report
 }
 
 if [[ "$SCALE_ONLY" == 1 ]]; then
@@ -142,8 +158,7 @@ run_par() {
   run_par_tests
   echo "== dfi-scalegate --sweep --wall: Fig-4 curves + parallel wall gates =="
   cargo build -q --release -p dfi-wiregate
-  SCALE_ITERS="${SCALE_ITERS:-12000}" \
-    ./target/release/dfi-scalegate --gate 2 --sweep --wall | tee BENCH_scale.json
+  ./target/release/dfi-scalegate --gate 2 --sweep --wall | scale_report
 }
 
 if [[ "$PAR_ONLY" == 1 ]]; then
@@ -175,7 +190,7 @@ fi
 run_repair() {
   echo "== repair convergence proptests (clear / no-new / idempotent / oracle) =="
   cargo test -q -p dfi-analyze --test proptest_repair
-  echo "== snapshot rollback regressions (unsharded / sharded / threaded) =="
+  echo "== snapshot rollback regressions (unsharded / threaded) =="
   cargo test -q -p dfi-core --test rollback
   echo "== live 14-switch repair loop (direct apply + bus-driven PDP) =="
   cargo test -q -p dfi-analyze --test repair_live
@@ -253,8 +268,8 @@ if [[ "$FAST" == 0 ]]; then
   run_decide
 
   # run_par's scalegate run is a strict superset of run_scale's (the
-  # cooperative phases always run), so the full gate runs the big binary
-  # once with every phase enabled.
+  # timed phase always runs), so the full gate runs the big binary once
+  # with every phase enabled.
   run_scale_tests
   run_par
 

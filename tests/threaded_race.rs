@@ -132,8 +132,7 @@ fn builder_b(dpid: u64, up: FaultPlan, down: FaultPlan) -> WorldBuilder {
 
 #[test]
 fn threaded_binding_expiry_beats_fault_delayed_packet_in() {
-    // Same fault plans and timeline as the unsharded and cooperative
-    // regressions.
+    // Same fault plans and timeline as the unsharded regression.
     let up = FaultPlan {
         seed: 12,
         delay: 1.0,
