@@ -306,9 +306,9 @@ pub struct ParallelShardedDfi {
     deferred_flushes: Vec<PolicyId>,
     gate: Option<ParSnapshotGate>,
     /// Front-end retention ring: the last [`SNAPSHOT_RETENTION`] retired
-    /// certified snapshots, oldest first. Worker stores keep their own
-    /// rings, but those live on the worker threads — rollback needs a
-    /// copy the front-end can reach without crossing a channel.
+    /// certified snapshots, oldest first. Workers keep no ring of their
+    /// own: rollback republishes from this one, which the front-end can
+    /// reach without crossing a channel.
     history: VecDeque<Arc<PolicySnapshot>>,
     metrics: ShardFanoutMetrics,
     /// Last acked/reported epoch per worker.

@@ -151,7 +151,7 @@ run_par_tests() {
   echo "== threaded differential oracle (byte-identical trace across 1/2/4/8 workers) =="
   cargo test -q -p dfi-core --test threaded_oracle
   echo "== threaded revocation race (fail closed across the thread boundary) =="
-  cargo test -q --test threaded_race
+  cargo test -q --test threaded_race --test sharded_race
 }
 
 run_par() {
